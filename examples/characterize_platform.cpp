@@ -85,7 +85,7 @@ int main(int Argc, char **Argv) {
               LoadedCurves->complete() ? "complete" : "partial");
 
   ExecutionSession Session(*LoadedSpec);
-  Workload Mm = *findWorkload(desktopSuite(WorkloadConfig{}), "MM");
+  Workload Mm = *makeWorkload("MM");
   Metric Objective = Metric::edp();
   SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
   SessionReport Eas = Session.runEas(Mm.Trace, *LoadedCurves, Objective);

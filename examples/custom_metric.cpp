@@ -26,7 +26,9 @@ int main() {
   PlatformSpec Spec = bayTrailTablet();
   PowerCurveSet Curves = Characterizer(Spec).characterize();
   ExecutionSession Session(Spec);
-  Workload Mm = *findWorkload(tabletSuite(WorkloadConfig{}), "MM");
+  WorkloadConfig Tablet;
+  Tablet.TabletInputs = true;
+  Workload Mm = *makeWorkload("MM", Tablet);
 
   // Battery view: the display and radios burn ~1.5 W regardless, so a
   // run's true battery cost is (P_package + 1.5 W) * T.

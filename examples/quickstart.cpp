@@ -38,8 +38,7 @@ int main() {
               Curves.platformName().c_str());
 
   // 3. A workload: Black-Scholes, 2000 launches of 64K options.
-  WorkloadConfig Config;
-  Workload Bs = *findWorkload(desktopSuite(Config), "BS");
+  Workload Bs = *makeWorkload("BS");
   std::printf("workload: %s, %u invocations, %.0f total iterations\n\n",
               Bs.Name.c_str(), Bs.numInvocations(), Bs.totalIterations());
 

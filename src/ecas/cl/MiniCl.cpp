@@ -327,10 +327,9 @@ void CommandQueue::workerLoop() {
         ++Failed;
     }
     double EndAt = hostSeconds();
-    Cmd->Event->advance(CommandState::Complete, EndAt);
-
-    // Publish the settled lifecycle outside every lock (the recorder's
-    // registration mutex is a leaf and must stay one).
+    // Publish the lifecycle before completing the event, for the same
+    // reason, and outside every lock (the recorder's registration mutex is
+    // a leaf and must stay one).
     if (obs::TraceRecorder *T = Trace.load(std::memory_order_acquire)) {
       std::string Range = formatString(
           "%s [%llu,%llu)", DeviceName.c_str(),
@@ -351,6 +350,8 @@ void CommandQueue::workerLoop() {
         T->count("minicl.launch_failures");
       }
     }
+
+    Cmd->Event->advance(CommandState::Complete, EndAt);
 
     {
       LockGuard Lock(Mutex);

@@ -332,7 +332,6 @@ void ServiceFrontEnd::workerLoop(unsigned WorkerIndex) {
       (void)Scheduler.flushJournal();
       continue;
     }
-    InFlight.fetch_add(1, std::memory_order_acq_rel);
     updateDepthGauges();
     double NowSec = Config.Clock();
     double WaitSec = std::max(0.0, NowSec - Request->EnqueueSec);
@@ -352,7 +351,7 @@ void ServiceFrontEnd::workerLoop(unsigned WorkerIndex) {
     if (Stopped) {
       // Shutdown hard-stop: void residual queued work without running it.
       accountCancelled(*Request, /*DeadlineMiss=*/false);
-      InFlight.fetch_sub(1, std::memory_order_acq_rel);
+      Queue.finished();
       continue;
     }
 
@@ -367,7 +366,7 @@ void ServiceFrontEnd::workerLoop(unsigned WorkerIndex) {
         ActiveTokens[WorkerIndex].reset();
       }
       accountShed(*Request, WaitSec);
-      InFlight.fetch_sub(1, std::memory_order_acq_rel);
+      Queue.finished();
       continue;
     }
 
@@ -401,7 +400,7 @@ void ServiceFrontEnd::workerLoop(unsigned WorkerIndex) {
       accountCompleted(*Request, WaitSec, ExecSec);
       Admission.noteServiceTime(ExecSec);
     }
-    InFlight.fetch_sub(1, std::memory_order_acq_rel);
+    Queue.finished();
   }
 }
 
@@ -547,16 +546,17 @@ ServiceStats ServiceFrontEnd::shutdown() {
       SteadyClock::now() + std::chrono::duration_cast<SteadyClock::duration>(
                                std::chrono::duration<double>(
                                    std::max(Config.DrainGraceSec, 0.0)));
-  auto drained = [this] {
-    return Queue.totalDepth() == 0 &&
-           InFlight.load(std::memory_order_acquire) == 0;
-  };
-  while (!drained() && SteadyClock::now() < GraceEnd)
+  // A popped request counts as unfinished from inside the pop, so an
+  // idle closed queue stays idle: one verdict decides the hard-stop.
+  bool Drained = Queue.idle();
+  while (!Drained && SteadyClock::now() < GraceEnd) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
+    Drained = Queue.idle();
+  }
 
   // Phase 2: grace expired — cancel in-flight work and void the rest of
   // the queue. Workers observe HardStop before executing anything new.
-  if (!drained()) {
+  if (!Drained) {
     LockGuard Lock(TokenMutex);
     HardStop = true;
     for (std::optional<CancellationToken> &Token : ActiveTokens)

@@ -251,9 +251,6 @@ private:
 
   std::atomic<bool> Accepting{true};
   std::atomic<uint64_t> NextSequence{1};
-  /// Requests popped but not yet accounted — the graceful drain waits
-  /// for queue-empty AND this to reach zero.
-  std::atomic<unsigned> InFlight{0};
 
   /// Per-worker active cancellation token, so the hard-stop can fire
   /// every in-flight request's token. HardStop lives under the same

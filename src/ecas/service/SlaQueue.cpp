@@ -59,12 +59,17 @@ unsigned SlaQueue::pickLane() {
   ECAS_UNREACHABLE("refilled credits found no nonempty lane");
 }
 
+QueuedRequest SlaQueue::take(unsigned Lane) {
+  Unfinished.fetch_add(1, std::memory_order_relaxed);
+  return Lanes[Lane].pop();
+}
+
 std::optional<QueuedRequest> SlaQueue::pop() {
   UniqueLock Lock(Mutex);
   while (true) {
     unsigned Lane = pickLane();
     if (Lane != NumSlaClasses)
-      return Lanes[Lane].pop();
+      return take(Lane);
     if (Closed)
       return std::nullopt;
     Ready.wait(Lock.native());
@@ -80,7 +85,7 @@ std::optional<QueuedRequest> SlaQueue::popFor(double Sec) {
   while (true) {
     unsigned Lane = pickLane();
     if (Lane != NumSlaClasses)
-      return Lanes[Lane].pop();
+      return take(Lane);
     if (Closed)
       return std::nullopt;
     if (Ready.wait_until(Lock.native(), Deadline) ==
@@ -88,7 +93,7 @@ std::optional<QueuedRequest> SlaQueue::popFor(double Sec) {
       // One more look: a push may have raced the timeout.
       Lane = pickLane();
       if (Lane != NumSlaClasses)
-        return Lanes[Lane].pop();
+        return take(Lane);
       return std::nullopt;
     }
   }
@@ -99,7 +104,7 @@ std::optional<QueuedRequest> SlaQueue::tryPop() {
   unsigned Lane = pickLane();
   if (Lane == NumSlaClasses)
     return std::nullopt;
-  return Lanes[Lane].pop();
+  return take(Lane);
 }
 
 void SlaQueue::close() {
@@ -108,6 +113,19 @@ void SlaQueue::close() {
     Closed = true;
   }
   Ready.notify_all();
+}
+
+void SlaQueue::finished() {
+  size_t Before = Unfinished.fetch_sub(1, std::memory_order_acq_rel);
+  ECAS_CHECK(Before != 0, "finished() without a popped request");
+}
+
+bool SlaQueue::idle() const {
+  LockGuard Lock(Mutex);
+  for (const BoundedRing<QueuedRequest> &Lane : Lanes)
+    if (!Lane.empty())
+      return false;
+  return Unfinished.load(std::memory_order_acquire) == 0;
 }
 
 bool SlaQueue::closed() const {

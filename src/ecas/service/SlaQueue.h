@@ -28,6 +28,7 @@
 #include "ecas/service/Bounded.h"
 #include "ecas/support/ThreadAnnotations.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <optional>
@@ -77,6 +78,9 @@ public:
 
   /// Blocks until a request is available or the queue is closed and
   /// drained (nullopt). Concurrent poppers each get distinct requests.
+  /// Every popped request stays unfinished until finished() is called
+  /// for it; the count rises under the pop's own lock, so a request is
+  /// never observable as neither queued nor unfinished.
   std::optional<QueuedRequest> pop();
 
   /// As pop(), but gives up after \p Sec host seconds: nullopt then
@@ -93,6 +97,13 @@ public:
   /// queued requests remain poppable until drained. Idempotent.
   void close();
 
+  /// Marks one popped request as settled.
+  void finished();
+
+  /// True when nothing is queued and every popped request is finished.
+  /// Once closed, an idle queue stays idle.
+  bool idle() const;
+
   bool closed() const;
   size_t depth(SlaClass Sla) const;
   size_t totalDepth() const;
@@ -101,6 +112,8 @@ private:
   /// Index of the lane the credit scheme serves next, or NumSlaClasses
   /// when every lane is empty.
   unsigned pickLane() ECAS_REQUIRES(Mutex);
+  /// Pops the head of \p Lane and counts it unfinished.
+  QueuedRequest take(unsigned Lane) ECAS_REQUIRES(Mutex);
 
   const size_t CapacityPerClass;
   const SlaWeights Weights;
@@ -110,6 +123,8 @@ private:
   std::vector<BoundedRing<QueuedRequest>> Lanes ECAS_GUARDED_BY(Mutex);
   unsigned Credits[NumSlaClasses] ECAS_GUARDED_BY(Mutex) = {};
   bool Closed ECAS_GUARDED_BY(Mutex) = false;
+  /// Raised under Mutex by take(), lowered lock-free by finished().
+  std::atomic<size_t> Unfinished{0};
 };
 
 } // namespace ecas

@@ -47,41 +47,98 @@ GraphAlgoResult ecas::runBfsLevels(const RoadGraph &Graph, uint32_t Source) {
 GraphAlgoResult ecas::runConnectedComponents(const RoadGraph &Graph) {
   GraphAlgoResult Result;
   const uint32_t Nodes = Graph.numNodes();
+  if (Nodes == 0)
+    return Result;
+
+  // Fixed-width in-neighbour table: row U lists the sources of U's
+  // incoming edges; unused slots point at U itself, a no-op for the min.
+  // Road networks are grids, so four slots always suffice.
+  constexpr uint32_t Slots = 4;
+  std::vector<uint32_t> InNeighbours(static_cast<size_t>(Nodes) * Slots);
+  std::vector<uint8_t> Filled(Nodes, 0);
+  for (uint32_t U = 0; U != Nodes; ++U)
+    std::fill_n(&InNeighbours[static_cast<size_t>(U) * Slots], Slots, U);
+  for (uint32_t V = 0; V != Nodes; ++V)
+    for (uint32_t E = Graph.Offsets[V]; E != Graph.Offsets[V + 1]; ++E) {
+      uint32_t U = Graph.Targets[E];
+      ECAS_CHECK(Filled[U] < Slots, "CC supports at most 4 neighbours");
+      InNeighbours[static_cast<size_t>(U) * Slots + Filled[U]++] = V;
+    }
+
+  // Nodes are evaluated in blocks of 64. A block's labels can only fall
+  // in a round after a block feeding it (itself, or one holding an
+  // in-neighbour of its nodes) changed in the previous round; Dependents
+  // lists, for each block, the blocks it feeds.
+  constexpr uint32_t BlockBits = 6;
+  const uint32_t Blocks = ((Nodes - 1) >> BlockBits) + 1;
+  std::vector<uint32_t> DependentOffsets{0};
+  std::vector<uint32_t> Dependents;
+  DependentOffsets.reserve(Blocks + 1);
+  for (uint32_t B = 0; B != Blocks; ++B) {
+    size_t First = Dependents.size();
+    Dependents.push_back(B);
+    uint32_t End = std::min(Nodes, (B + 1) << BlockBits);
+    for (uint32_t V = B << BlockBits; V != End; ++V)
+      for (uint32_t E = Graph.Offsets[V]; E != Graph.Offsets[V + 1]; ++E)
+        Dependents.push_back(Graph.Targets[E] >> BlockBits);
+    std::sort(Dependents.begin() + First, Dependents.end());
+    Dependents.erase(std::unique(Dependents.begin() + First, Dependents.end()),
+                     Dependents.end());
+    DependentOffsets.push_back(static_cast<uint32_t>(Dependents.size()));
+  }
+
+  // Synchronous pull rounds (labels read from the previous round's
+  // buffer), matching a GPU-style bulk-parallel kernel: asynchronous
+  // in-place propagation would collapse the round count and with it the
+  // invocation trace. After round k a label is the minimum id within
+  // k+1 hops, so a neighbour that did not change last round cannot lower
+  // it: pulling from every neighbour yields the same labels, and the same
+  // per-round change counts, as pushing from the changed ones. A skipped
+  // block did not change in the previous round either, so the stale
+  // buffer already holds its labels.
   std::vector<uint32_t> Label(Nodes);
   for (uint32_t V = 0; V != Nodes; ++V)
     Label[V] = V;
-  std::vector<uint8_t> InNext(Nodes, 0);
-  std::vector<uint32_t> Worklist(Nodes);
-  for (uint32_t V = 0; V != Nodes; ++V)
-    Worklist[V] = V;
-
-  // Rounds are synchronous (labels read from the previous round's
-  // snapshot), matching a GPU-style bulk-parallel kernel: asynchronous
-  // in-place propagation would collapse the round count and with it the
-  // invocation trace.
-  std::vector<uint32_t> NextLabel = Label;
-  while (!Worklist.empty()) {
-    Result.RoundSizes.push_back(static_cast<double>(Worklist.size()));
-    std::vector<uint32_t> Next;
-    for (uint32_t V : Worklist) {
-      uint32_t Mine = Label[V];
-      for (uint32_t E = Graph.Offsets[V]; E != Graph.Offsets[V + 1]; ++E) {
-        uint32_t U = Graph.Targets[E];
-        if (Mine < NextLabel[U]) {
-          NextLabel[U] = Mine;
-          if (!InNext[U]) {
-            InNext[U] = 1;
-            Next.push_back(U);
-          }
+  std::vector<uint32_t> Next = Label;
+  std::vector<uint32_t> Dirty(Blocks);
+  for (uint32_t B = 0; B != Blocks; ++B)
+    Dirty[B] = B;
+  std::vector<uint32_t> Active;
+  std::vector<uint32_t> ActiveInRound(Blocks, 0);
+  Result.RoundSizes.push_back(static_cast<double>(Nodes));
+  for (uint32_t Round = 1;; ++Round) {
+    Active.clear();
+    for (uint32_t C : Dirty)
+      for (uint32_t I = DependentOffsets[C]; I != DependentOffsets[C + 1];
+           ++I) {
+        uint32_t B = Dependents[I];
+        if (ActiveInRound[B] != Round) {
+          ActiveInRound[B] = Round;
+          Active.push_back(B);
         }
       }
+    Dirty.clear();
+    uint64_t Changed = 0;
+    for (uint32_t B : Active) {
+      uint32_t End = std::min(Nodes, (B + 1) << BlockBits);
+      uint32_t BlockChanged = 0;
+      for (uint32_t V = B << BlockBits; V != End; ++V) {
+        const uint32_t *In = &InNeighbours[static_cast<size_t>(V) * Slots];
+        uint32_t Min = std::min(std::min(Label[V], Label[In[0]]),
+                                std::min(std::min(Label[In[1]], Label[In[2]]),
+                                         Label[In[3]]));
+        Next[V] = Min;
+        BlockChanged += Min != Label[V];
+      }
+      if (BlockChanged != 0) {
+        Dirty.push_back(B);
+        Changed += BlockChanged;
+      }
     }
-    // Incremental sync: only entries in Next changed in NextLabel.
-    for (uint32_t U : Next) {
-      InNext[U] = 0;
-      Label[U] = NextLabel[U];
-    }
-    Worklist = std::move(Next);
+    if (Changed == 0)
+      break;
+    Result.RoundSizes.push_back(static_cast<double>(Changed));
+    Label.swap(Next);
   }
 
   uint64_t LabelSum = 0;

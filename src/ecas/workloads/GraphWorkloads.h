@@ -33,7 +33,10 @@ struct GraphAlgoResult {
 /// depths. Unreached nodes contribute nothing.
 GraphAlgoResult runBfsLevels(const RoadGraph &Graph, uint32_t Source);
 
-/// Connected components by min-label propagation with a worklist.
+/// Connected components by synchronous min-label propagation: pull
+/// rounds over a 4-slot in-neighbour table that skip 64-node blocks no
+/// changed label can reach. Round r+1's size is the number of labels
+/// round r lowered. Every node may have at most 4 in-neighbours.
 /// Checksum: number of components * 2^32 + (sum of final labels mod
 /// 2^32).
 GraphAlgoResult runConnectedComponents(const RoadGraph &Graph);

@@ -16,6 +16,8 @@
 
 #include "ecas/workloads/Workload.h"
 
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace ecas {
@@ -26,6 +28,13 @@ std::vector<Workload> desktopSuite(const WorkloadConfig &Config = {});
 /// The seven tablet workloads (MB, SL, BS, MM, NB, RT, SM) with the
 /// tablet inputs of Table 1.
 std::vector<Workload> tabletSuite(WorkloadConfig Config = {});
+
+/// Builds only the workload with abbreviation \p Abbrev ("CC", "bs",
+/// ...; case-insensitive), exactly as the suite holding it would. With
+/// \p Config.TabletInputs set, only tabletSuite()'s seven are found.
+/// Empty for an unknown abbreviation.
+std::optional<Workload> makeWorkload(const std::string &Abbrev,
+                                     const WorkloadConfig &Config = {});
 
 /// Finds a workload by abbreviation ("CC", "bs", ...); returns nullptr
 /// when absent.

@@ -70,7 +70,7 @@ TEST(Integration, DesktopEnergyGpuNearOraclePerfWorse) {
   // clearly worse than GPU-alone.
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
-  Workload Mm = *findWorkload(desktopSuite(testConfig()), "MM");
+  Workload Mm = *makeWorkload("MM", testConfig());
   Metric Objective = Metric::energy();
   SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
   SessionReport Gpu = Session.runGpuOnly(Mm.Trace, Objective);
@@ -87,7 +87,7 @@ TEST(Integration, EasBeatsSingleDeviceOnDesktopEdp) {
   // barely above GPU_PROFILE_SIZE is legitimately noisy.
   WorkloadConfig Config;
   Config.Scale = 1.0;
-  Workload Bs = *findWorkload(desktopSuite(Config), "BS");
+  Workload Bs = *makeWorkload("BS", Config);
   // Trim the trace for test speed; 2000 identical invocations add
   // nothing at unit-test granularity.
   Bs.Trace.resize(40);
@@ -103,7 +103,8 @@ TEST(Integration, TabletGpuAloneIsNotEnergyOptimal) {
   PlatformSpec Spec = bayTrailTablet();
   ExecutionSession Session(Spec);
   WorkloadConfig Config = testConfig();
-  Workload Mm = *findWorkload(tabletSuite(Config), "MM");
+  Config.TabletInputs = true;
+  Workload Mm = *makeWorkload("MM", Config);
   Metric Objective = Metric::energy();
   SessionReport Oracle = Session.runOracle(Mm.Trace, Objective);
   SessionReport Gpu = Session.runGpuOnly(Mm.Trace, Objective);
@@ -113,7 +114,7 @@ TEST(Integration, TabletGpuAloneIsNotEnergyOptimal) {
 TEST(Integration, EasWithinBandOfOracleAcrossMetrics) {
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
-  Workload Nb = *findWorkload(desktopSuite(testConfig()), "NB");
+  Workload Nb = *makeWorkload("NB", testConfig());
   Nb.Trace.resize(20);
   for (const Metric &Objective : {Metric::energy(), Metric::edp()}) {
     SessionReport Oracle = Session.runOracle(Nb.Trace, Objective);
@@ -129,7 +130,7 @@ TEST(Integration, EasWithinBandOfOracleAcrossMetrics) {
 TEST(Integration, SessionReportsAreInternallyConsistent) {
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
-  Workload Sm = *findWorkload(desktopSuite(testConfig()), "SM");
+  Workload Sm = *makeWorkload("SM", testConfig());
   Sm.Trace.resize(10);
   Metric Objective = Metric::edp();
   SessionReport R = Session.runEas(Sm.Trace, curvesFor(Spec), Objective);
@@ -147,7 +148,7 @@ TEST(Integration, CustomMetricIsHonored) {
   // performance as plain energy does.
   PlatformSpec Spec = haswellDesktop();
   ExecutionSession Session(Spec);
-  Workload Mm = *findWorkload(desktopSuite(testConfig()), "MM");
+  Workload Mm = *makeWorkload("MM", testConfig());
   SessionReport OracleEnergy =
       Session.runOracle(Mm.Trace, Metric::energy());
   SessionReport OracleEd2 = Session.runOracle(Mm.Trace, Metric::ed2p());
@@ -201,7 +202,7 @@ TEST(Integration, ExternalGpuBusySessionStillCompletes) {
   EasScheduler Scheduler(Curves, Metric::edp());
   Scheduler.setExternalGpuBusy(true);
   KernelDesc Kernel =
-      findWorkload(desktopSuite(testConfig()), "SM")->Trace.front().Kernel;
+      makeWorkload("SM", testConfig())->Trace.front().Kernel;
   for (int I = 0; I != 5; ++I) {
     auto Outcome = Scheduler.execute(Proc, Kernel, 1e6);
     EXPECT_DOUBLE_EQ(Outcome.AlphaUsed, 0.0);
@@ -218,7 +219,9 @@ TEST(Integration, CurveCacheRoundTripPreservesEasDecisions) {
   auto Reloaded = PowerCurveSet::deserialize(Fresh.serialize());
   ASSERT_TRUE(Reloaded.has_value());
 
-  Workload Mm = *findWorkload(tabletSuite(testConfig()), "MM");
+  WorkloadConfig Config = testConfig();
+  Config.TabletInputs = true;
+  Workload Mm = *makeWorkload("MM", Config);
   ExecutionSession Session(Spec);
   SessionReport A = Session.runEas(Mm.Trace, Fresh, Metric::edp());
   SessionReport B = Session.runEas(Mm.Trace, *Reloaded, Metric::edp());

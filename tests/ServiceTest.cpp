@@ -161,6 +161,24 @@ TEST(SlaQueue, CloseWakesBlockedPopper) {
   EXPECT_TRUE(PopReturned.load());
 }
 
+TEST(SlaQueue, PoppedRequestStaysUnfinishedUntilFinished) {
+  SlaQueue Queue(4);
+  EXPECT_TRUE(Queue.idle());
+  ASSERT_TRUE(Queue.tryPush(requestFor(SlaClass::Sla1)));
+  ASSERT_TRUE(Queue.tryPush(requestFor(SlaClass::Sla2)));
+  Queue.close();
+  EXPECT_FALSE(Queue.idle()) << "queued";
+  std::optional<QueuedRequest> First = Queue.pop();
+  std::optional<QueuedRequest> Second = Queue.tryPop();
+  ASSERT_TRUE(First && Second);
+  EXPECT_EQ(Queue.totalDepth(), 0u);
+  EXPECT_FALSE(Queue.idle()) << "popped, not yet finished";
+  Queue.finished();
+  EXPECT_FALSE(Queue.idle()) << "one still unfinished";
+  Queue.finished();
+  EXPECT_TRUE(Queue.idle());
+}
+
 //===----------------------------------------------------------------------===//
 // Admission control
 //===----------------------------------------------------------------------===//
@@ -376,6 +394,40 @@ TEST(Service, ShedsRequestsWhoseDeadlineExpiredWhileQueued) {
   EXPECT_EQ(Scheduler.history().size(), 0u)
       << "a shed request must not touch table G";
   EXPECT_EQ(Registry.snapshot().total(obs::names::ServiceShedTotal), 1.0);
+  EXPECT_TRUE(Scheduler.shutdown().ok());
+}
+
+TEST(Service, GracefulShutdownUnderLoadCancelsNothing) {
+  // Shutting down right behind a burst: a request a worker has popped but
+  // not yet started must still count as in flight, or the drain can
+  // declare the grace period failed and void it. Spinning threads widen
+  // the window between the pop and the start.
+  EasScheduler Scheduler(desktopCurves(), Metric::edp(), {});
+  std::atomic<bool> StopLoad{false};
+  std::vector<std::thread> Load;
+  for (int I = 0; I != 2; ++I)
+    Load.emplace_back([&StopLoad] {
+      while (!StopLoad.load(std::memory_order_relaxed))
+        std::this_thread::yield();
+    });
+  KernelDesc Kernel = namedKernel("burst");
+  for (unsigned Window = 0; Window != 200; ++Window) {
+    ServiceConfig Config;
+    Config.Workers = 3;
+    ServiceFrontEnd Service(Scheduler, haswellDesktop(), Config);
+    for (unsigned I = 0; I <= Window % 4; ++I) {
+      RequestContext Ctx;
+      Ctx.TenantId = 1 + I;
+      ASSERT_TRUE(Service.submit(Kernel, 1e5, Ctx).admitted());
+    }
+    ServiceStats Stats = Service.shutdown();
+    ASSERT_TRUE(Stats.consistent()) << "window " << Window;
+    ASSERT_EQ(Stats.Cancelled, 0u) << "window " << Window;
+    ASSERT_EQ(Stats.Completed, Stats.Submitted) << "window " << Window;
+  }
+  StopLoad = true;
+  for (std::thread &T : Load)
+    T.join();
   EXPECT_TRUE(Scheduler.shutdown().ok());
 }
 

@@ -412,12 +412,27 @@ PowerCurveFamily familyFor(const PlatformSpec &Spec, const Flags &Args) {
   return characterizeFamily(Spec);
 }
 
-std::vector<Workload> suiteFor(const PlatformSpec &Spec,
-                               const Flags &Args) {
+/// --scale's inputs, with the tablet column of Table 1 on the tablet.
+WorkloadConfig workloadConfigFor(const PlatformSpec &Spec,
+                                 const Flags &Args) {
   WorkloadConfig Config;
   Config.Scale = Args.getDouble("scale", 0.3);
-  return Spec.Name == "baytrail-tablet" ? tabletSuite(Config)
-                                        : desktopSuite(Config);
+  Config.TabletInputs = Spec.Name == "baytrail-tablet";
+  return Config;
+}
+
+std::vector<Workload> suiteFor(const PlatformSpec &Spec,
+                               const Flags &Args) {
+  WorkloadConfig Config = workloadConfigFor(Spec, Args);
+  return Config.TabletInputs ? tabletSuite(Config) : desktopSuite(Config);
+}
+
+/// The --workload (default CC) of \p Spec's suite, built alone; empty
+/// when that suite has no such workload.
+std::optional<Workload> workloadFor(const PlatformSpec &Spec,
+                                    const Flags &Args) {
+  return makeWorkload(Args.getString("workload", "CC"),
+                      workloadConfigFor(Spec, Args));
 }
 
 void printReport(const SessionReport &R) {
@@ -484,11 +499,10 @@ int cmdRun(const Flags &Args) {
   }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
-  std::vector<Workload> Suite = suiteFor(*Spec, Args);
-  const Workload *W = findWorkload(Suite, Args.getString("workload", "CC"));
+  std::optional<Workload> W = workloadFor(*Spec, Args);
   if (!W) {
     std::fprintf(stderr, "error: unknown workload (have:");
-    for (const Workload &Each : Suite)
+    for (const Workload &Each : suiteFor(*Spec, Args))
       std::fprintf(stderr, " %s", Each.Abbrev.c_str());
     std::fprintf(stderr, ")\n");
     return ExitUsage;
@@ -1283,8 +1297,7 @@ int cmdSweep(const Flags &Args) {
   }
   if (!applyFaultPlan(*Spec, Args))
     return ExitRuntime;
-  std::vector<Workload> Suite = suiteFor(*Spec, Args);
-  const Workload *W = findWorkload(Suite, Args.getString("workload", "CC"));
+  std::optional<Workload> W = workloadFor(*Spec, Args);
   if (!W) {
     std::fprintf(stderr, "error: unknown workload\n");
     return ExitUsage;
@@ -1338,8 +1351,7 @@ int cmdFaults(const Flags &Args) {
     std::fprintf(stderr, "error: unknown platform\n");
     return ExitUsage;
   }
-  std::vector<Workload> Suite = suiteFor(*Spec, Args);
-  const Workload *W = findWorkload(Suite, Args.getString("workload", "CC"));
+  std::optional<Workload> W = workloadFor(*Spec, Args);
   if (!W) {
     std::fprintf(stderr, "error: unknown workload\n");
     return ExitUsage;
