@@ -7,10 +7,13 @@
 #include "ecas/core/ExecutionSession.h"
 
 #include "ecas/obs/MetricNames.h"
+#include "ecas/runtime/ThreadPool.h"
 #include "ecas/support/Assert.h"
 #include "ecas/support/Format.h"
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 using namespace ecas;
 
@@ -142,24 +145,48 @@ SessionReport ExecutionSession::runSweepScheme(SchemeKind Kind,
                                                const RunOptions &Options) const {
   ECAS_CHECK(Options.Step > 0.0 && Options.Step <= 1.0,
              "sweep step must lie in (0, 1]");
-  const bool ByTime = Kind == SchemeKind::Perf;
-  RunOptions Point = Options;
-  SessionReport Best;
-  bool HaveBest = false;
-  for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += Options.Step) {
-    Point.Alpha = std::min(Alpha, 1.0);
-    SessionReport Candidate =
-        runFixedAlphaScheme(SchemeKind::FixedAlpha, Point);
-    bool Better = ByTime ? Candidate.Seconds < Best.Seconds
-                         : Candidate.MetricValue < Best.MetricValue;
-    if (!HaveBest || Better) {
-      Best = Candidate;
-      HaveBest = true;
+  // The grid accumulates Step exactly as a serial `Alpha += Step` loop
+  // would (at Step 0.1 the last point is 0.9999999999999999, not 1.0),
+  // so fanning the points out changes no alpha a point runs at.
+  std::vector<double> Grid;
+  for (double Alpha = 0.0; Alpha <= 1.0 + 1e-9; Alpha += Options.Step)
+    Grid.push_back(std::min(Alpha, 1.0));
+
+  // Every point replays the trace on its own fresh processor, health
+  // monitor and fault injector and writes only its own slot, so the
+  // points run concurrently without sharing state.
+  std::vector<SessionReport> Points(Grid.size());
+  auto RunPoints = [&](uint64_t Begin, uint64_t End) {
+    RunOptions Point = Options;
+    for (uint64_t I = Begin; I != End; ++I) {
+      Point.Alpha = Grid[I];
+      Points[I] = runFixedAlphaScheme(SchemeKind::FixedAlpha, Point);
     }
+  };
+  const unsigned Threads = static_cast<unsigned>(std::min<size_t>(
+      Grid.size(), std::max(1u, std::thread::hardware_concurrency())));
+  if (Threads <= 1) {
+    RunPoints(0, Grid.size());
+  } else {
+    // The calling thread participates, so the pool adds Threads - 1.
+    ThreadPool Pool(Threads - 1);
+    Pool.parallelFor(0, Grid.size(), /*Grain=*/1, RunPoints);
   }
-  Best.Kind = Kind;
-  Best.Scheme = schemeKindName(Kind);
-  return Best;
+
+  // Selection after the join, in grid order with a strict `<`: ties keep
+  // the lowest alpha, exactly as the serial sweep did.
+  const bool ByTime = Kind == SchemeKind::Perf;
+  size_t Best = 0;
+  for (size_t I = 1; I != Points.size(); ++I) {
+    bool Better = ByTime ? Points[I].Seconds < Points[Best].Seconds
+                         : Points[I].MetricValue < Points[Best].MetricValue;
+    if (Better)
+      Best = I;
+  }
+  SessionReport Report = std::move(Points[Best]);
+  Report.Kind = Kind;
+  Report.Scheme = schemeKindName(Kind);
+  return Report;
 }
 
 SessionReport ExecutionSession::runEasScheme(const RunOptions &Options) const {

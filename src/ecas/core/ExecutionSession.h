@@ -86,11 +86,15 @@ struct RunOptions {
   /// and the EAS scheme runs the joint (alpha, frequency) search;
   /// typically paired with Eas.PStates = true.
   const PowerCurveFamily *CurveFamily = nullptr;
-  /// The metric every scheme optimizes and reports.
+  /// The metric every scheme optimizes and reports. Oracle and Perf
+  /// evaluate it from several host threads at once, so a custom metric's
+  /// body must be safe to call concurrently.
   Metric Objective = Metric::edp();
   /// Fixed offload ratio for SchemeKind::FixedAlpha.
   double Alpha = 0.0;
-  /// Sweep increment for Oracle/Perf.
+  /// Sweep increment for Oracle/Perf. The grid is 0, Step, Step+Step,
+  /// ... accumulated while it stays within 1 + 1e-9 (each point clamped
+  /// to 1), so a Step that does not divide 1 never visits alpha 1.
   double Step = 0.1;
   /// Tunables for SchemeKind::Eas.
   EasConfig Eas;
@@ -223,11 +227,15 @@ public:
 
   /// Exhaustive search over fixed ratios, best by \p Objective — the
   /// paper's Oracle baseline (alpha in [0,1] with \p Step increments).
+  /// The grid points run concurrently on up to hardware-concurrency host
+  /// threads; the best is picked afterwards in grid order (ties keep the
+  /// lowest alpha), so the report is bit-identical to a serial sweep.
   SessionReport runOracle(const InvocationTrace &Trace,
                           const Metric &Objective, double Step = 0.1) const;
 
   /// Exhaustive search for the best *execution time*, reported under
-  /// \p Objective — the paper's PERF comparison scheme.
+  /// \p Objective — the paper's PERF comparison scheme. Fans out like
+  /// runOracle().
   SessionReport runPerf(const InvocationTrace &Trace,
                         const Metric &Objective, double Step = 0.1) const;
 

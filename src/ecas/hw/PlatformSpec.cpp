@@ -10,8 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <vector>
+#include <type_traits>
 
 using namespace ecas;
 
@@ -67,13 +66,80 @@ namespace {
 /// One serializable scalar field: name plus load/store accessors.
 struct FieldBinding {
   const char *Key;
-  std::function<double(const PlatformSpec &)> Load;
-  std::function<void(PlatformSpec &, double)> Store;
+  double (*Load)(const PlatformSpec &);
+  void (*Store)(PlatformSpec &, double);
 };
 
-} // namespace
+// Nested members need explicit accessors; a small macro keeps the table
+// readable without inventing a reflection layer. The lambdas capture
+// nothing, so they decay to plain function pointers and the whole table
+// is a compile-time constant shared by validate(), serialize() and load().
+#define ECAS_FIELD(KEY, EXPR)                                                  \
+  {KEY,                                                                        \
+   [](const PlatformSpec &Spec) { return static_cast<double>(Spec.EXPR); },    \
+   [](PlatformSpec &Spec, double Value) {                                      \
+     Spec.EXPR = static_cast<std::decay_t<decltype(Spec.EXPR)>>(Value);        \
+   }}
 
-static std::vector<FieldBinding> fieldBindings();
+constexpr FieldBinding FieldTable[] = {
+    ECAS_FIELD("cpu.cores", Cpu.Cores),
+    ECAS_FIELD("cpu.threads_per_core", Cpu.ThreadsPerCore),
+    ECAS_FIELD("cpu.min_freq_ghz", Cpu.MinFreqGHz),
+    ECAS_FIELD("cpu.base_freq_ghz", Cpu.BaseFreqGHz),
+    ECAS_FIELD("cpu.max_turbo_ghz", Cpu.MaxTurboGHz),
+    ECAS_FIELD("cpu.corun_max_freq_ghz", Cpu.CoRunMaxFreqGHz),
+    ECAS_FIELD("cpu.efficiency_freq_ghz", Cpu.EfficiencyFreqGHz),
+    ECAS_FIELD("cpu.simd_width", Cpu.SimdWidth),
+    ECAS_FIELD("cpu.cycles_scale", Cpu.CyclesScale),
+    ECAS_FIELD("cpu.miss_penalty_cycles", Cpu.MissPenaltyCycles),
+    ECAS_FIELD("cpu.mem_parallelism", Cpu.MemParallelism),
+    ECAS_FIELD("gpu.execution_units", Gpu.ExecutionUnits),
+    ECAS_FIELD("gpu.threads_per_eu", Gpu.ThreadsPerEU),
+    ECAS_FIELD("gpu.simd_width", Gpu.SimdWidth),
+    ECAS_FIELD("gpu.min_freq_ghz", Gpu.MinFreqGHz),
+    ECAS_FIELD("gpu.max_freq_ghz", Gpu.MaxFreqGHz),
+    ECAS_FIELD("gpu.launch_latency_sec", Gpu.LaunchLatencySec),
+    ECAS_FIELD("memory.bandwidth_gbs", Memory.BandwidthGBs),
+    ECAS_FIELD("memory.llc_mbytes", Memory.LlcMBytes),
+    ECAS_FIELD("cpu_power.leakage_watts", CpuPower.LeakageWatts),
+    ECAS_FIELD("cpu_power.cubic_watts_per_ghz3", CpuPower.CubicWattsPerGHz3),
+    ECAS_FIELD("cpu_power.compute_activity", CpuPower.ComputeActivity),
+    ECAS_FIELD("cpu_power.memory_activity", CpuPower.MemoryActivity),
+    ECAS_FIELD("cpu_power.idle_activity", CpuPower.IdleActivity),
+    ECAS_FIELD("gpu_power.leakage_watts", GpuPower.LeakageWatts),
+    ECAS_FIELD("gpu_power.cubic_watts_per_ghz3", GpuPower.CubicWattsPerGHz3),
+    ECAS_FIELD("gpu_power.compute_activity", GpuPower.ComputeActivity),
+    ECAS_FIELD("gpu_power.memory_activity", GpuPower.MemoryActivity),
+    ECAS_FIELD("gpu_power.idle_activity", GpuPower.IdleActivity),
+    ECAS_FIELD("uncore.base_watts", Uncore.BaseWatts),
+    ECAS_FIELD("uncore.watts_per_gbs", Uncore.WattsPerGBs),
+    ECAS_FIELD("pcu.tdp_watts", Pcu.TdpWatts),
+    ECAS_FIELD("pcu.sampling_interval_sec", Pcu.SamplingIntervalSec),
+    ECAS_FIELD("pcu.ramp_up_ghz_per_epoch", Pcu.RampUpGHzPerEpoch),
+    ECAS_FIELD("pcu.gpu_priority", Pcu.GpuPriority),
+    ECAS_FIELD("pcu.energy_unit_joules", Pcu.EnergyUnitJoules),
+    ECAS_FIELD("pstate.count", PStateCount),
+    ECAS_FIELD("pstate0.cpu_freq_ghz", PStates[0].CpuFreqGHz),
+    ECAS_FIELD("pstate0.gpu_freq_ghz", PStates[0].GpuFreqGHz),
+    ECAS_FIELD("pstate1.cpu_freq_ghz", PStates[1].CpuFreqGHz),
+    ECAS_FIELD("pstate1.gpu_freq_ghz", PStates[1].GpuFreqGHz),
+    ECAS_FIELD("pstate2.cpu_freq_ghz", PStates[2].CpuFreqGHz),
+    ECAS_FIELD("pstate2.gpu_freq_ghz", PStates[2].GpuFreqGHz),
+    ECAS_FIELD("pstate3.cpu_freq_ghz", PStates[3].CpuFreqGHz),
+    ECAS_FIELD("pstate3.gpu_freq_ghz", PStates[3].GpuFreqGHz),
+    ECAS_FIELD("pstate4.cpu_freq_ghz", PStates[4].CpuFreqGHz),
+    ECAS_FIELD("pstate4.gpu_freq_ghz", PStates[4].GpuFreqGHz),
+    ECAS_FIELD("pstate5.cpu_freq_ghz", PStates[5].CpuFreqGHz),
+    ECAS_FIELD("pstate5.gpu_freq_ghz", PStates[5].GpuFreqGHz),
+    ECAS_FIELD("pstate6.cpu_freq_ghz", PStates[6].CpuFreqGHz),
+    ECAS_FIELD("pstate6.gpu_freq_ghz", PStates[6].GpuFreqGHz),
+    ECAS_FIELD("pstate7.cpu_freq_ghz", PStates[7].CpuFreqGHz),
+    ECAS_FIELD("pstate7.gpu_freq_ghz", PStates[7].GpuFreqGHz),
+};
+
+#undef ECAS_FIELD
+
+} // namespace
 
 bool PlatformSpec::validate(std::string &Error) const {
   auto Fail = [&Error](std::string Msg) {
@@ -131,105 +197,21 @@ bool PlatformSpec::validate(std::string &Error) const {
   }
   // Range checks above compare against NaN (always false), so a NaN can
   // slip through every one of them; sweep all scalar fields explicitly.
-  for (const FieldBinding &Field : fieldBindings())
+  for (const FieldBinding &Field : FieldTable)
     if (!std::isfinite(Field.Load(*this)))
       return Fail(std::string(Field.Key) + " is not finite");
   return true;
 }
 
-static std::vector<FieldBinding> fieldBindings() {
-  std::vector<FieldBinding> Fields;
-  auto Add = [&Fields](const char *Key, auto Member) {
-    Fields.push_back(
-        {Key,
-         [Member](const PlatformSpec &Spec) {
-           return static_cast<double>(Spec.*Member);
-         },
-         [Member](PlatformSpec &Spec, double Value) {
-           using MemberType = std::decay_t<decltype(Spec.*Member)>;
-           Spec.*Member = static_cast<MemberType>(Value);
-         }});
-  };
-  // Nested members need explicit lambdas; a small macro keeps the table
-  // readable without inventing a reflection layer.
-#define ECAS_FIELD(KEY, EXPR)                                                  \
-  Fields.push_back({KEY,                                                       \
-                    [](const PlatformSpec &Spec) {                             \
-                      return static_cast<double>(Spec.EXPR);                   \
-                    },                                                         \
-                    [](PlatformSpec &Spec, double Value) {                     \
-                      Spec.EXPR =                                              \
-                          static_cast<std::decay_t<decltype(Spec.EXPR)>>(      \
-                              Value);                                          \
-                    }})
-  ECAS_FIELD("cpu.cores", Cpu.Cores);
-  ECAS_FIELD("cpu.threads_per_core", Cpu.ThreadsPerCore);
-  ECAS_FIELD("cpu.min_freq_ghz", Cpu.MinFreqGHz);
-  ECAS_FIELD("cpu.base_freq_ghz", Cpu.BaseFreqGHz);
-  ECAS_FIELD("cpu.max_turbo_ghz", Cpu.MaxTurboGHz);
-  ECAS_FIELD("cpu.corun_max_freq_ghz", Cpu.CoRunMaxFreqGHz);
-  ECAS_FIELD("cpu.efficiency_freq_ghz", Cpu.EfficiencyFreqGHz);
-  ECAS_FIELD("cpu.simd_width", Cpu.SimdWidth);
-  ECAS_FIELD("cpu.cycles_scale", Cpu.CyclesScale);
-  ECAS_FIELD("cpu.miss_penalty_cycles", Cpu.MissPenaltyCycles);
-  ECAS_FIELD("cpu.mem_parallelism", Cpu.MemParallelism);
-  ECAS_FIELD("gpu.execution_units", Gpu.ExecutionUnits);
-  ECAS_FIELD("gpu.threads_per_eu", Gpu.ThreadsPerEU);
-  ECAS_FIELD("gpu.simd_width", Gpu.SimdWidth);
-  ECAS_FIELD("gpu.min_freq_ghz", Gpu.MinFreqGHz);
-  ECAS_FIELD("gpu.max_freq_ghz", Gpu.MaxFreqGHz);
-  ECAS_FIELD("gpu.launch_latency_sec", Gpu.LaunchLatencySec);
-  ECAS_FIELD("memory.bandwidth_gbs", Memory.BandwidthGBs);
-  ECAS_FIELD("memory.llc_mbytes", Memory.LlcMBytes);
-  ECAS_FIELD("cpu_power.leakage_watts", CpuPower.LeakageWatts);
-  ECAS_FIELD("cpu_power.cubic_watts_per_ghz3", CpuPower.CubicWattsPerGHz3);
-  ECAS_FIELD("cpu_power.compute_activity", CpuPower.ComputeActivity);
-  ECAS_FIELD("cpu_power.memory_activity", CpuPower.MemoryActivity);
-  ECAS_FIELD("cpu_power.idle_activity", CpuPower.IdleActivity);
-  ECAS_FIELD("gpu_power.leakage_watts", GpuPower.LeakageWatts);
-  ECAS_FIELD("gpu_power.cubic_watts_per_ghz3", GpuPower.CubicWattsPerGHz3);
-  ECAS_FIELD("gpu_power.compute_activity", GpuPower.ComputeActivity);
-  ECAS_FIELD("gpu_power.memory_activity", GpuPower.MemoryActivity);
-  ECAS_FIELD("gpu_power.idle_activity", GpuPower.IdleActivity);
-  ECAS_FIELD("uncore.base_watts", Uncore.BaseWatts);
-  ECAS_FIELD("uncore.watts_per_gbs", Uncore.WattsPerGBs);
-  ECAS_FIELD("pcu.tdp_watts", Pcu.TdpWatts);
-  ECAS_FIELD("pcu.sampling_interval_sec", Pcu.SamplingIntervalSec);
-  ECAS_FIELD("pcu.ramp_up_ghz_per_epoch", Pcu.RampUpGHzPerEpoch);
-  ECAS_FIELD("pcu.gpu_priority", Pcu.GpuPriority);
-  ECAS_FIELD("pcu.energy_unit_joules", Pcu.EnergyUnitJoules);
-  ECAS_FIELD("pstate.count", PStateCount);
-  ECAS_FIELD("pstate0.cpu_freq_ghz", PStates[0].CpuFreqGHz);
-  ECAS_FIELD("pstate0.gpu_freq_ghz", PStates[0].GpuFreqGHz);
-  ECAS_FIELD("pstate1.cpu_freq_ghz", PStates[1].CpuFreqGHz);
-  ECAS_FIELD("pstate1.gpu_freq_ghz", PStates[1].GpuFreqGHz);
-  ECAS_FIELD("pstate2.cpu_freq_ghz", PStates[2].CpuFreqGHz);
-  ECAS_FIELD("pstate2.gpu_freq_ghz", PStates[2].GpuFreqGHz);
-  ECAS_FIELD("pstate3.cpu_freq_ghz", PStates[3].CpuFreqGHz);
-  ECAS_FIELD("pstate3.gpu_freq_ghz", PStates[3].GpuFreqGHz);
-  ECAS_FIELD("pstate4.cpu_freq_ghz", PStates[4].CpuFreqGHz);
-  ECAS_FIELD("pstate4.gpu_freq_ghz", PStates[4].GpuFreqGHz);
-  ECAS_FIELD("pstate5.cpu_freq_ghz", PStates[5].CpuFreqGHz);
-  ECAS_FIELD("pstate5.gpu_freq_ghz", PStates[5].GpuFreqGHz);
-  ECAS_FIELD("pstate6.cpu_freq_ghz", PStates[6].CpuFreqGHz);
-  ECAS_FIELD("pstate6.gpu_freq_ghz", PStates[6].GpuFreqGHz);
-  ECAS_FIELD("pstate7.cpu_freq_ghz", PStates[7].CpuFreqGHz);
-  ECAS_FIELD("pstate7.gpu_freq_ghz", PStates[7].GpuFreqGHz);
-#undef ECAS_FIELD
-  (void)Add;
-  return Fields;
-}
-
 std::string PlatformSpec::serialize() const {
   std::string Out = formatString("name = %s\n", Name.c_str());
-  for (const FieldBinding &Field : fieldBindings())
+  for (const FieldBinding &Field : FieldTable)
     Out += formatString("%s = %.17g\n", Field.Key, Field.Load(*this));
   return Out;
 }
 
 ErrorOr<PlatformSpec> PlatformSpec::load(const std::string &Text) {
   PlatformSpec Spec;
-  std::vector<FieldBinding> Fields = fieldBindings();
   unsigned LineNo = 0;
   for (const std::string &Line : splitString(Text, '\n')) {
     ++LineNo;
@@ -247,7 +229,7 @@ ErrorOr<PlatformSpec> PlatformSpec::load(const std::string &Text) {
       continue;
     }
     bool Known = false;
-    for (const FieldBinding &Field : Fields) {
+    for (const FieldBinding &Field : FieldTable) {
       if (Key != Field.Key)
         continue;
       double Parsed;

@@ -14,7 +14,11 @@
 #include "ecas/hw/Presets.h"
 #include "ecas/power/Characterizer.h"
 #include "ecas/power/MicroBenchmarks.h"
+#include "ecas/support/Format.h"
 #include "ecas/support/Random.h"
+#include "ecas/workloads/Registry.h"
+
+#include "SweepReference.h"
 
 #include <gtest/gtest.h>
 
@@ -415,6 +419,62 @@ TEST(ExecutionSession, PerfMinimizesTimeNotEnergy) {
     SessionReport Fixed = Session.runFixedAlpha(Trace, Alpha, Objective);
     EXPECT_LE(Perf.Seconds, Fixed.Seconds + 1e-9);
   }
+}
+
+TEST(ExecutionSession, SweepMatchesSerialFixedAlpha) {
+  // Oracle and PERF fan their grid points out over host threads; every
+  // report must still equal the serial runFixedAlpha argmin field for
+  // field. Step 0.3 pins today's grid {0, 0.3, 0.6, 0.8999999999999999}:
+  // alpha 1 is never visited at that step.
+  struct Case {
+    const char *Abbrev;
+    bool Tablet;
+  };
+  const Case Cases[] = {{"BS", false}, {"FD", false}, {"SM", false},
+                        {"SM", true},  {"MM", true}};
+  EXPECT_EQ(serialSweepGrid(0.3).size(), 4u);
+  EXPECT_LT(serialSweepGrid(0.3).back(), 1.0);
+  EXPECT_EQ(serialSweepGrid(0.5).back(), 1.0);
+  EXPECT_EQ(serialSweepGrid(0.1).back(), 0.9999999999999999);
+  for (const Case &C : Cases) {
+    WorkloadConfig Config;
+    Config.TabletInputs = C.Tablet;
+    std::optional<Workload> W = makeWorkload(C.Abbrev, Config);
+    ASSERT_TRUE(W.has_value()) << C.Abbrev;
+    ExecutionSession Session(C.Tablet ? bayTrailTablet() : haswellDesktop());
+    for (const Metric &Objective : {Metric::edp(), Metric::energy()}) {
+      for (SchemeKind Kind : {SchemeKind::Oracle, SchemeKind::Perf}) {
+        for (double Step : {0.1, 0.5, 0.3}) {
+          SCOPED_TRACE(formatString("%s %s %s %s step %g", C.Abbrev,
+                                    C.Tablet ? "tablet" : "desktop",
+                                    Objective.name().c_str(),
+                                    schemeKindName(Kind), Step));
+          RunOptions Options;
+          Options.Trace = &W->Trace;
+          Options.Objective = Objective;
+          Options.Step = Step;
+          SessionReport Report = Session.run(Kind, Options);
+          expectSameReport(Report,
+                           serialSweepReference(Session, Kind, W->Trace,
+                                                Objective, Step));
+          if (Step == 0.3) {
+            EXPECT_LT(Report.MeanAlpha, 0.95);
+          }
+        }
+      }
+    }
+  }
+
+  // A constant objective ties every point; the strict `<` keeps alpha 0.
+  ExecutionSession Session(haswellDesktop());
+  InvocationTrace Trace{{computeBoundMicroKernel(), 2e6},
+                        {memoryBoundMicroKernel(), 2e6}};
+  Metric Flat = Metric::custom("flat", [](double, double) { return 1.0; });
+  SessionReport Want = Session.runFixedAlpha(Trace, 0.0, Flat);
+  Want.Kind = SchemeKind::Oracle;
+  Want.Scheme = "oracle";
+  expectSameReport(Session.runOracle(Trace, Flat), Want);
+  expectSameReport(Session.runOracle(Trace, Flat, 0.3), Want);
 }
 
 TEST(ExecutionSession, EasApproachesOracleOnEdp) {

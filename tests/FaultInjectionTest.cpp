@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "SweepReference.h"
+
 #include <cmath>
 
 using namespace ecas;
@@ -232,4 +234,30 @@ TEST(FaultInjection, SeededScenariosAreReproducible) {
   EXPECT_EQ(A.Resilience.HangsDetected, B.Resilience.HangsDetected);
   EXPECT_EQ(A.Resilience.Quarantines, B.Resilience.Quarantines);
   EXPECT_EQ(A.Injected.LaunchFailures, B.Injected.LaunchFailures);
+}
+
+TEST(FaultInjection, SweepIsDeterministicAndMatchesSerialReference) {
+  // Every sweep point owns a seeded FaultInjector and GpuHealthMonitor.
+  // Fanned out over host threads, two runs must agree with each other
+  // and with the serial runFixedAlpha argmin, injected-fault and
+  // resilience tallies included: nothing leaks between points.
+  PlatformSpec Spec = faultySpec("kitchen-sink");
+  ExecutionSession Session(Spec);
+  InvocationTrace Trace = longTrace();
+  for (const Metric &Objective : {Metric::edp(), Metric::energy()})
+    for (SchemeKind Kind : {SchemeKind::Oracle, SchemeKind::Perf}) {
+      SCOPED_TRACE(std::string(schemeKindName(Kind)) + " " +
+                   Objective.name());
+      RunOptions Options;
+      Options.Trace = &Trace;
+      Options.Objective = Objective;
+      SessionReport First = Session.run(Kind, Options);
+      SessionReport Second = Session.run(Kind, Options);
+      EXPECT_TRUE(First.FaultsEnabled);
+      EXPECT_TRUE(First.Injected.anyInjected());
+      EXPECT_TRUE(First.Resilience.degraded());
+      expectSameReport(Second, First);
+      expectSameReport(First, serialSweepReference(Session, Kind, Trace,
+                                                   Objective, Options.Step));
+    }
 }
